@@ -3,7 +3,7 @@
 //! These are the software baselines for the paper's Schönhage–Strassen
 //! accelerator (Section III observes SSA "is advantageous for operands of at
 //! least 100,000 bits"; the `mul_crossover` bench reproduces that claim).
-//! The `*` operator dispatches on size.
+//! The `*` operator dispatches on the shorter operand's size.
 
 use core::ops::{Mul, MulAssign};
 
@@ -159,8 +159,12 @@ fn split3(x: &UBig, m: usize) -> (UBig, UBig, UBig) {
 impl Mul<&UBig> for &UBig {
     type Output = UBig;
 
+    /// Dispatches on the **shorter** operand: a lopsided product (a
+    /// 25-limb factor against a 12,288-limb one) costs one schoolbook
+    /// row per short limb, far below what splitting the long operand
+    /// into Toom-3 or Karatsuba pieces would.
     fn mul(self, rhs: &UBig) -> UBig {
-        let n = self.as_limbs().len().max(rhs.as_limbs().len());
+        let n = self.as_limbs().len().min(rhs.as_limbs().len());
         if n >= TOOM3_THRESHOLD {
             self.mul_toom3(rhs)
         } else if n >= KARATSUBA_THRESHOLD {
@@ -273,6 +277,10 @@ mod tests {
             (64 * TOOM3_THRESHOLD, 64 * TOOM3_THRESHOLD),
             (64 * TOOM3_THRESHOLD + 7, 64 * KARATSUBA_THRESHOLD),
             (20_000, 30_000),
+            // Lopsided: the short operand picks the algorithm.
+            (64, 64 * 12_288),
+            (64 * 25, 64 * 12_288),
+            (64 * 200, 64 * 12_288),
         ] {
             let a = UBig::random_bits(&mut rng, abits);
             let b = UBig::random_bits(&mut rng, bbits);

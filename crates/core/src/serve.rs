@@ -246,7 +246,8 @@ pub struct ServeConfig {
     /// disables caching and every job runs as a raw three-transform
     /// product. Each entry holds the operand plus its full cached
     /// spectrum (at the paper's 64K-point plan roughly 0.6 MB), so this
-    /// knob bounds each card's resident memory. Backends whose handles
+    /// knob bounds each card's resident memory. Entries also age out:
+    /// see [`ServeConfig::idle_trim_after`]. Backends whose handles
     /// cache nothing (the classical algorithms) disable the cache
     /// automatically.
     pub cache_capacity: usize,
@@ -255,6 +256,12 @@ pub struct ServeConfig {
     /// prepared-handle cache — a resident server must not pin a burst's
     /// worth of multi-MB scratch and spectra forever. The next burst
     /// re-prepares the operands it actually reuses.
+    ///
+    /// The same window bounds a cached handle's age under steady traffic:
+    /// at the end of every flush a card drops the digest-cache handles
+    /// last used more than this long before **that flush started** (so a
+    /// flush that itself runs longer keeps the handles it used). Pinned
+    /// operands are exempt.
     pub idle_trim_after: Duration,
     /// A recurring operand becomes *hot* — eligible to drive speculative
     /// preparation of its fresh partners — once its digest has hit a
@@ -2539,6 +2546,7 @@ impl<M: Multiplier + Sync> CardWorker<M> {
         if batch.is_empty() {
             return true;
         }
+        let started = Instant::now();
         self.stats.flushes += 1;
         self.stats.largest_flush = self.stats.largest_flush.max(batch.len());
         // Replies are buffered and sent only after this card's stats are
@@ -2618,7 +2626,13 @@ impl<M: Multiplier + Sync> CardWorker<M> {
         if survived {
             // Evict only after the batch ran: every handle it borrowed
             // was live, so the cache may transiently exceed its capacity
-            // within a single flush.
+            // within a single flush. Handles idle past `idle_trim_after`
+            // go first: a card that never idles (steady traffic) would
+            // otherwise keep a full LRU of stale spectra. Age counts from
+            // this flush's start, so a flush slower than the idle window
+            // keeps the handles it just used.
+            self.cache
+                .expire_unused(started, self.shared.config.idle_trim_after);
             self.cache.evict_to_capacity();
         } else {
             // An unwind tore through the backend mid-operation: every
@@ -3210,6 +3224,7 @@ struct CacheSlot {
     operand: UBig,
     handle: OperandHandle,
     last_used: u64,
+    used_at: Instant,
 }
 
 /// Per-card LRU cache of prepared operand handles, keyed by the operand's
@@ -3259,6 +3274,7 @@ impl HandleCache {
         {
             Some(slot) => {
                 slot.last_used = tick;
+                slot.used_at = Instant::now();
                 true
             }
             None => false,
@@ -3275,6 +3291,7 @@ impl HandleCache {
             operand,
             handle,
             last_used: self.tick,
+            used_at: Instant::now(),
         });
         self.len += 1;
     }
@@ -3301,6 +3318,19 @@ impl HandleCache {
             .iter()
             .find(|s| s.operand == *operand)
             .map(|s| &s.handle)
+    }
+
+    /// Drops every handle last used more than `max_idle` before
+    /// `flush_start`.
+    fn expire_unused(&mut self, flush_start: Instant, max_idle: Duration) {
+        let Some(cutoff) = flush_start.checked_sub(max_idle) else {
+            return;
+        };
+        self.entries.retain(|_, chain| {
+            chain.retain(|slot| slot.used_at >= cutoff);
+            !chain.is_empty()
+        });
+        self.len = self.entries.values().map(Vec::len).sum();
     }
 
     /// Evicts least-recently-used entries until the capacity holds.
@@ -4058,6 +4088,71 @@ mod tests {
         assert!(cache.get(&ops[0]).is_none(), "LRU entry evicted");
         assert!(cache.get(&ops[1]).is_some());
         assert!(cache.get(&ops[2]).is_some());
+    }
+
+    #[test]
+    fn cache_expires_handles_idle_past_the_trim_window() {
+        let engine = EvalEngine::new(SsaSoftware::for_operand_bits(128).unwrap());
+        let idle = Duration::from_millis(30);
+        let mut cache = HandleCache::new(8);
+        let [stale, reused, own] = [1u64, 2, 3].map(UBig::from);
+        for op in [&stale, &reused] {
+            cache.insert(op.clone(), digest(op), engine.prepare(op).unwrap());
+        }
+        // Flushes start further apart than the window; `reused` rides
+        // each, `stale` none.
+        for _ in 0..2 {
+            std::thread::sleep(2 * idle);
+            let started = Instant::now();
+            assert!(cache.touch(&reused, digest(&reused)));
+            cache.expire_unused(started, idle);
+            assert!(cache.get(&stale).is_none(), "idle past the window");
+            assert!(cache.get(&reused).is_some(), "used by this flush");
+        }
+        // A flush that itself outlasts the window keeps its own handles.
+        let started = Instant::now();
+        cache.insert(own.clone(), digest(&own), engine.prepare(&own).unwrap());
+        std::thread::sleep(2 * idle);
+        cache.expire_unused(started, idle);
+        assert!(cache.get(&own).is_some(), "used by the slow flush");
+        assert_eq!(cache.len, 2);
+    }
+
+    #[test]
+    fn busy_cards_expire_handles_idle_past_the_trim_window() {
+        let server = ServerPool::spawn(
+            vec![small_engine(2_000)],
+            ServeConfig {
+                max_batch: 1,
+                max_delay: Duration::from_millis(1),
+                idle_trim_after: Duration::from_millis(100),
+                ..ServeConfig::default()
+            },
+        );
+        let product = |a: u64, b: u64| {
+            let ticket = server
+                .submit(ProductRequest::new(UBig::from(a), UBig::from(b)))
+                .unwrap();
+            assert_eq!(ticket.wait().unwrap(), UBig::from(a * b));
+        };
+        product(3, 5);
+        // Traffic never pauses long enough for an idle trim, but operand
+        // 3 sits out every flush for several windows. Few enough flushes
+        // that the LRU capacity alone would still hold it.
+        let mut fresh = 7u64;
+        for _ in 0..15 {
+            std::thread::sleep(Duration::from_millis(25));
+            product(fresh, fresh + 1);
+            fresh += 2;
+        }
+        let misses = server.stats().total().cache_misses;
+        product(3, fresh);
+        let stats = server.shutdown().total();
+        assert_eq!(
+            stats.cache_misses,
+            misses + 2,
+            "operand 3 expired: {stats:?}"
+        );
     }
 
     #[test]

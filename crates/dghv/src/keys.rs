@@ -1,12 +1,13 @@
 //! Key generation, encryption, decryption, and homomorphic evaluation.
 
-use he_bigint::{BarrettReducer, UBig};
+use he_bigint::UBig;
 use rand::Rng;
 
 use crate::ciphertext::Ciphertext;
 use crate::error::DghvError;
 use crate::multiplier::CiphertextMultiplier;
 use crate::params::DghvParams;
+use crate::reduce::X0Reducer;
 
 /// The secret key: an odd η-bit integer `p`.
 #[derive(Debug, Clone)]
@@ -22,7 +23,7 @@ pub struct PublicKey {
     params: DghvParams,
     x0: UBig,
     elements: Vec<UBig>,
-    reducer: BarrettReducer,
+    reducer: X0Reducer,
 }
 
 /// A generated key pair.
@@ -61,7 +62,7 @@ impl KeyPair {
             elements.push(&(&qi * &p) + &(&ri << 1));
         }
 
-        let reducer = BarrettReducer::new(x0.clone()).expect("x0 is nonzero");
+        let reducer = X0Reducer::new(x0.clone());
         Ok(KeyPair {
             secret: SecretKey { p, params },
             public: PublicKey {
@@ -146,7 +147,7 @@ impl PublicKey {
     /// Crate-internal constructor (used by the compressed-key expansion in
     /// [`crate::compress`]).
     pub(crate) fn from_parts(params: DghvParams, x0: UBig, elements: Vec<UBig>) -> PublicKey {
-        let reducer = BarrettReducer::new(x0.clone()).expect("x0 is nonzero");
+        let reducer = X0Reducer::new(x0.clone());
         PublicKey {
             params,
             x0,
@@ -237,6 +238,11 @@ impl PublicKey {
     /// reach the noise ceiling; the check runs for the whole batch before
     /// any product is computed, so the expensive work never starts on a
     /// doomed batch.
+    ///
+    /// The products are reduced mod `x_0` as one batch too: at paper size
+    /// the reduction's two wide multiplications run as two sharded
+    /// one-cached SSA batches against the cached spectra of the Barrett
+    /// constant and `x_0`.
     pub fn mul_many<M: CiphertextMultiplier>(
         &self,
         backend: &M,
@@ -261,13 +267,8 @@ impl PublicKey {
         let products = backend.multiply_prepared_many(&prepared, &values);
         Ok(others
             .iter()
-            .zip(products)
-            .map(|(b, product)| {
-                Ciphertext::new(
-                    self.reducer.reduce(&product),
-                    a.noise_bits() + b.noise_bits() + 1,
-                )
-            })
+            .zip(self.reducer.reduce_many(&products))
+            .map(|(b, reduced)| Ciphertext::new(reduced, a.noise_bits() + b.noise_bits() + 1))
             .collect())
     }
 
@@ -282,6 +283,9 @@ impl PublicKey {
     /// Returns [`DghvError::NoiseBudgetExhausted`] if any pairing would
     /// reach the noise ceiling; the check runs for the whole batch before
     /// any product is computed.
+    ///
+    /// The level's reduction mod `x_0` is batched the same way as in
+    /// [`PublicKey::mul_many`].
     pub fn mul_pairs<M: CiphertextMultiplier>(
         &self,
         backend: &M,
@@ -301,13 +305,8 @@ impl PublicKey {
         let products = backend.multiply_pairs(&values);
         Ok(pairs
             .iter()
-            .zip(products)
-            .map(|((a, b), product)| {
-                Ciphertext::new(
-                    self.reducer.reduce(&product),
-                    a.noise_bits() + b.noise_bits() + 1,
-                )
-            })
+            .zip(self.reducer.reduce_many(&products))
+            .map(|((a, b), reduced)| Ciphertext::new(reduced, a.noise_bits() + b.noise_bits() + 1))
             .collect())
     }
 }

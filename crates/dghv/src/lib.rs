@@ -48,6 +48,7 @@ mod keys;
 mod ladder;
 mod multiplier;
 mod params;
+mod reduce;
 mod serialize;
 
 pub use ciphertext::Ciphertext;

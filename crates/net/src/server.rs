@@ -212,6 +212,7 @@ fn run_accept(
     config: NetServerConfig,
 ) {
     while !stop.load(Ordering::Relaxed) {
+        reap_finished(&conns);
         match listener.poll_accept() {
             Ok(Some(conn)) => {
                 if let Err(e) = spawn_connection(&pool, conn, &stop, &conns, &config) {
@@ -223,6 +224,28 @@ fn run_accept(
             Ok(None) => thread::sleep(config.accept_poll),
             Err(_) => thread::sleep(config.accept_poll),
         }
+    }
+}
+
+/// Joins and drops the handles of connections whose reader and writer
+/// have both exited, so a closed connection's socket and threads are
+/// released while the server keeps running, not at shutdown.
+fn reap_finished(conns: &Mutex<Vec<ConnHandle>>) {
+    let mut finished = Vec::new();
+    {
+        let mut conns = lock(conns);
+        let mut i = 0;
+        while i < conns.len() {
+            if conns[i].reader.is_finished() && conns[i].writer.is_finished() {
+                finished.push(conns.swap_remove(i));
+            } else {
+                i += 1;
+            }
+        }
+    }
+    for handle in finished {
+        let _ = handle.reader.join();
+        let _ = handle.writer.join();
     }
 }
 
