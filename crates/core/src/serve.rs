@@ -2630,7 +2630,8 @@ impl<M: Multiplier + Sync> CardWorker<M> {
             // go first: a card that never idles (steady traffic) would
             // otherwise keep a full LRU of stale spectra. Age counts from
             // this flush's start, so a flush slower than the idle window
-            // keeps the handles it just used.
+            // keeps the handles it just used. A handle never hit since an
+            // earlier flush prepared it goes too, whatever its age.
             self.cache
                 .expire_unused(started, self.shared.config.idle_trim_after);
             self.cache.evict_to_capacity();
@@ -3225,6 +3226,8 @@ struct CacheSlot {
     handle: OperandHandle,
     last_used: u64,
     used_at: Instant,
+    /// Whether a lookup has found this slot since its insertion.
+    hit: bool,
 }
 
 /// Per-card LRU cache of prepared operand handles, keyed by the operand's
@@ -3275,6 +3278,7 @@ impl HandleCache {
             Some(slot) => {
                 slot.last_used = tick;
                 slot.used_at = Instant::now();
+                slot.hit = true;
                 true
             }
             None => false,
@@ -3292,6 +3296,7 @@ impl HandleCache {
             handle,
             last_used: self.tick,
             used_at: Instant::now(),
+            hit: false,
         });
         self.len += 1;
     }
@@ -3321,13 +3326,21 @@ impl HandleCache {
     }
 
     /// Drops every handle last used more than `max_idle` before
-    /// `flush_start`.
+    /// `flush_start`, and every handle that was never hit and was
+    /// inserted before `flush_start`: an operand that one whole flush
+    /// passed over without reuse has shown no reuse to keep its spectrum
+    /// resident for (a stream of fresh operands would otherwise retain
+    /// a full idle window's worth of dead spectra).
     fn expire_unused(&mut self, flush_start: Instant, max_idle: Duration) {
-        let Some(cutoff) = flush_start.checked_sub(max_idle) else {
-            return;
-        };
+        let cutoff = flush_start.checked_sub(max_idle);
         self.entries.retain(|_, chain| {
-            chain.retain(|slot| slot.used_at >= cutoff);
+            chain.retain(|slot| {
+                if slot.hit {
+                    cutoff.is_none_or(|cutoff| slot.used_at >= cutoff)
+                } else {
+                    slot.used_at >= flush_start
+                }
+            });
             !chain.is_empty()
         });
         self.len = self.entries.values().map(Vec::len).sum();
@@ -4116,6 +4129,59 @@ mod tests {
         cache.expire_unused(started, idle);
         assert!(cache.get(&own).is_some(), "used by the slow flush");
         assert_eq!(cache.len, 2);
+    }
+
+    /// Runs one flush boundary on `cache`: the flush starts, looks up
+    /// `hits`, and expires at its end under a window far longer than the
+    /// test, so only the never-hit rule can drop anything.
+    fn flush_boundary(cache: &mut HandleCache, hits: &[&UBig]) {
+        std::thread::sleep(Duration::from_millis(1));
+        let started = Instant::now();
+        for op in hits {
+            assert!(cache.touch(op, digest(op)));
+        }
+        cache.expire_unused(started, Duration::from_secs(3600));
+    }
+
+    #[test]
+    fn cache_drops_a_fresh_handle_after_the_next_flush() {
+        let engine = EvalEngine::new(SsaSoftware::for_operand_bits(128).unwrap());
+        let mut cache = HandleCache::new(8);
+        let fresh = UBig::from(11u64);
+        // The flush that prepares the handle keeps it...
+        let started = Instant::now();
+        cache.insert(
+            fresh.clone(),
+            digest(&fresh),
+            engine.prepare(&fresh).unwrap(),
+        );
+        cache.expire_unused(started, Duration::from_secs(3600));
+        assert!(cache.get(&fresh).is_some(), "kept by its own flush");
+        // ...and the next flush, which never looks it up, drops it.
+        flush_boundary(&mut cache, &[]);
+        assert!(cache.get(&fresh).is_none(), "never hit: dropped");
+        assert_eq!(cache.len, 0);
+    }
+
+    #[test]
+    fn cache_keeps_a_handle_hit_by_the_next_flush() {
+        let engine = EvalEngine::new(SsaSoftware::for_operand_bits(128).unwrap());
+        let mut cache = HandleCache::new(8);
+        let [reused, fresh] = [12u64, 13].map(UBig::from);
+        let started = Instant::now();
+        for op in [&reused, &fresh] {
+            cache.insert(op.clone(), digest(op), engine.prepare(op).unwrap());
+        }
+        cache.expire_unused(started, Duration::from_secs(3600));
+        flush_boundary(&mut cache, &[&reused]);
+        assert!(cache.get(&reused).is_some(), "hit by the next flush");
+        assert!(cache.get(&fresh).is_none(), "never hit");
+        // Once hit, the handle falls under the idle window only: flushes
+        // that pass it over inside the window keep it.
+        flush_boundary(&mut cache, &[]);
+        flush_boundary(&mut cache, &[]);
+        assert!(cache.get(&reused).is_some(), "inside the idle window");
+        assert_eq!(cache.len, 1);
     }
 
     #[test]

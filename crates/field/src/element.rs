@@ -12,12 +12,27 @@ pub const P: u64 = 0xFFFF_FFFF_0000_0001;
 /// `ε = 2^64 − p = 2^32 − 1`; folding a carry out of 64 bits adds `ε`.
 pub const EPSILON: u64 = 0xFFFF_FFFF;
 
+/// `POW2[s] = 2^s mod p` for every `s < 192 = ord(2)`: the whole cyclic
+/// group the shift twiddles live in.
+const POW2: [Fp; 192] = {
+    let mut table = [Fp(0); 192];
+    let mut v = 1u64;
+    let mut s = 0;
+    while s < 192 {
+        table[s] = Fp(v);
+        v = ((v as u128 * 2) % P as u128) as u64;
+        s += 1;
+    }
+    table
+};
+
 /// An element of `F_p` with `p = 2^64 − 2^32 + 1`, stored canonically in
 /// `[0, p)`.
 ///
-/// All arithmetic reduces through the paper's Eq. 4 word-level identity (see
-/// [`crate::reduce`]), mirroring what the accelerator's *Normalize* and
-/// *AddMod* blocks compute.
+/// Multiplication reduces through the identities behind the paper's Eq. 4
+/// (`2^64 ≡ ε`, `2^96 ≡ −1`), applied on whole 64-bit words with branch-free
+/// fix-ups (see [`crate::reduce`]; the word-level *Normalize*/*AddMod* model
+/// of the hardware lives there too).
 ///
 /// # Example
 ///
@@ -171,7 +186,10 @@ impl Fp {
     ///
     /// Because `2^96 ≡ −1 (mod p)`, every power of two is `±2^s` with
     /// `s < 96`; the accelerator's shifter banks implement exactly this (the
-    /// paper's Eq. 3 twiddles `8^{ik} = 2^{3ik}`).
+    /// paper's Eq. 3 twiddles `8^{ik} = 2^{3ik}`). In hardware the shift is
+    /// free wiring; on a CPU the branchy shift-and-fold costs more than one
+    /// 64×64 multiply, so this multiplies by `2^shift` from a 192-entry
+    /// constant table instead.
     ///
     /// ```
     /// use he_field::Fp;
@@ -183,25 +201,7 @@ impl Fp {
     /// ```
     #[inline]
     pub fn mul_by_pow2(self, shift: u32) -> Fp {
-        let s = shift % 192;
-        let (s, negate) = if s >= 96 { (s - 96, true) } else { (s, false) };
-        // self · 2^s with s < 96 fits in 160 bits; split as limbs.
-        let r = if s == 0 {
-            *self.as_ref()
-        } else if s < 64 {
-            reduce::reduce128((self.0 as u128) << s)
-        } else {
-            // s in [64, 96): value = (self · 2^(s−64)) · 2^64, which occupies
-            // bits [64, 160) of a 192-bit word.
-            let v = (self.0 as u128) << (s - 64); // < 2^96
-            reduce::reduce192(((v as u64) as u128) << 64, (v >> 64) as u64)
-        };
-        let r = Fp(r);
-        if negate {
-            -r
-        } else {
-            r
-        }
+        self * POW2[(shift % 192) as usize]
     }
 
     /// Exponent `s` such that `self = 2^s (mod p)`, if the element is a power

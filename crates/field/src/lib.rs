@@ -16,9 +16,10 @@
 //! The crate provides:
 //!
 //! * [`Fp`] — a canonical field element with full operator support;
-//! * [`reduce`] — the Eq. 4 reduction routines, exposed both as an exact
-//!   reduction and as the hardware-style *coarse* reduction that may leave
-//!   one correction to the `AddMod` stage;
+//! * [`reduce`] — the reductions: the branch-free 64-bit-word form of the
+//!   Eq. 4 identities that every [`Fp`] multiply runs, and the
+//!   hardware-style *coarse* Eq. 4 reduction that may leave one correction
+//!   to the `AddMod` stage;
 //! * [`U192`] — a 192-bit end-around-carry accumulator: because
 //!   `p | 2^192 − 1`, a 192-bit register with wrap-around carry is exact
 //!   modulo `p`, and multiplication by `2^s` is a plain 192-bit rotation.

@@ -1,8 +1,8 @@
-//! Modular reduction via the paper's Eq. 4.
+//! Modular reduction for `p = 2^64 − 2^32 + 1`.
 //!
-//! For `p = 2^64 − 2^32 + 1` the key identities are
+//! The key identities are
 //!
-//! * `2^64 ≡ 2^32 − 1` (so `b·2^64 ≡ 2^32·b − b`),
+//! * `2^64 ≡ 2^32 − 1 = ε` (so `b·2^64 ≡ 2^32·b − b`),
 //! * `2^96 ≡ −1` (so `a·2^96 ≡ −a`),
 //! * `2^128 ≡ −2^32`,
 //!
@@ -13,12 +13,22 @@
 //! a·2^96 + b·2^64 + c·2^32 + d ≡ 2^32·(b + c) − a − b + d   (mod p)
 //! ```
 //!
-//! The hardware computes the right-hand side in the *Normalize* block and
-//! leaves at most one addition/subtraction of `p` to the *AddMod* block;
-//! [`normalize_eq4`] models exactly that split, while [`reduce128`] performs
-//! the complete reduction.
+//! The module keeps two forms of that identity:
+//!
+//! * [`normalize_eq4`] and [`addmod_final`] model the hardware split word
+//!   for word: the *Normalize* block evaluates the right-hand side and
+//!   leaves at most one addition/subtraction of `p` to the *AddMod* block.
+//!   They are the reference the accelerator model is checked against.
+//! * [`reduce128`] is the software hot path. It applies the same
+//!   identities on whole 64-bit words — `x_lo − (hi >> 32) +
+//!   (hi mod 2^32)·ε` — with one borrow and one carry fix-up, each a
+//!   conditional `∓ε`, and a single canonical subtraction: `u64`
+//!   arithmetic only, no data-dependent loop. On the FPGA the word
+//!   shuffling of Eq. 4 is free wiring; on a CPU one 64×64 multiply by
+//!   `ε` is a single instruction, and this form is what lets every
+//!   [`Fp`](crate::Fp) multiply run branch-free.
 
-use crate::element::P;
+use crate::element::{EPSILON, P};
 
 /// Fully reduces a 128-bit value to its canonical residue.
 ///
@@ -32,14 +42,27 @@ use crate::element::P;
 /// ```
 #[inline]
 pub fn reduce128(x: u128) -> u64 {
-    let (coarse, _) = normalize_eq4(x);
-    // Eq. 4 leaves a value < 2^65 + 2^32; at most two subtractions of p
-    // remain (the hardware performs the final one in AddMod).
-    let mut r = coarse;
-    while r >= P as u128 {
-        r -= P as u128;
+    let lo = x as u64;
+    let hi = (x >> 64) as u64;
+    // x = lo + (hi mod 2^32)·2^64 + (hi >> 32)·2^96
+    //   ≡ lo + (hi mod 2^32)·ε − (hi >> 32)   (2^64 ≡ ε, 2^96 ≡ −1).
+    let (t0, borrow) = lo.overflowing_sub(hi >> 32);
+    // A borrow wrapped t0 up by 2^64 ≡ ε; take ε back. It cannot wrap
+    // again: on a borrow lo < hi >> 32 < 2^32, so t0 > 2^64 − 2^32 > ε.
+    let t0 = t0 - EPSILON * u64::from(borrow);
+    // (hi mod 2^32)·ε ≤ (2^32 − 1)^2 fits a u64.
+    let t1 = (hi & EPSILON) * EPSILON;
+    let (t2, carry) = t0.overflowing_add(t1);
+    // A carry dropped 2^64 ≡ ε; add it back. No second carry: on a carry
+    // t2 ≤ 2^64 − 2^33, and ε < 2^33.
+    let t2 = t2 + EPSILON * u64::from(carry);
+    // t2 < 2^64 < 2p: one canonical subtraction.
+    let (r, under) = t2.overflowing_sub(P);
+    if under {
+        t2
+    } else {
+        r
     }
-    r as u64
 }
 
 /// The hardware *Normalize* block: applies Eq. 4 once and reports how many
@@ -113,9 +136,8 @@ pub fn addmod_final(coarse: u128) -> u64 {
 pub fn reduce192(lo: u128, hi: u64) -> u64 {
     // Split at bit 96 and use 2^96 ≡ −1: the value is l96 − rest with both
     // parts below 2^96. On underflow, add the multiple of p nearest 2^96:
-    // p·(2^32 + 1) = 2^96 + 1. One 128-bit Eq. 4 reduction finishes the
-    // job — this runs once per transform-kernel output, so the single-pass
-    // form matters.
+    // p·(2^32 + 1) = 2^96 + 1. One 128-bit reduction finishes the job —
+    // this runs once per output of the U192 datapath (`U192::to_fp`).
     const MASK96: u128 = (1u128 << 96) - 1;
     let l96 = lo & MASK96;
     let rest = (lo >> 96) | ((hi as u128) << 32); // < 2^96
@@ -170,6 +192,72 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// `x = hi·2^64 + lo` as one 128-bit word.
+    fn wide(hi: u64, lo: u64) -> u128 {
+        ((hi as u128) << 64) | lo as u128
+    }
+
+    #[test]
+    fn reduce128_borrow_edge() {
+        // lo < hi >> 32: the subtraction of hi >> 32 borrows and the
+        // borrow fix takes ε back.
+        let cases = [
+            wide(1 << 32, 0),
+            wide(u64::MAX, 0),
+            wide(u64::MAX, 0xffff_fffe),
+            wide(0xffff_ffff_0000_0000, 0xffff_fffe),
+            wide(2 << 32, 1),
+            wide(0xdead_beef_0000_0000, 0x1234),
+        ];
+        for &x in &cases {
+            let (hi, lo) = ((x >> 64) as u64, x as u64);
+            assert!(lo < hi >> 32, "x = {x:#x} must borrow");
+            assert_eq!(reduce128(x), naive128(x), "x = {x:#x}");
+        }
+    }
+
+    #[test]
+    fn reduce128_carry_edge() {
+        // t0 + (hi mod 2^32)·ε overflows 64 bits: the carry fix adds ε.
+        let cases = [
+            wide(0xffff_ffff, u64::MAX),
+            wide(0xffff_ffff, 1 << 33),
+            wide(0x0000_0001_ffff_ffff, u64::MAX),
+            wide(u64::MAX, u64::MAX),
+            wide(0x8000_0000, u64::MAX),
+            // Borrows first, then carries.
+            wide(u64::MAX, 0),
+        ];
+        for &x in &cases {
+            let (hi, lo) = ((x >> 64) as u64, x as u64);
+            let (t0, borrow) = lo.overflowing_sub(hi >> 32);
+            let t0 = t0 - EPSILON * u64::from(borrow);
+            let t1 = (hi & EPSILON) * EPSILON;
+            assert!(t0.checked_add(t1).is_none(), "x = {x:#x} must carry");
+            assert_eq!(reduce128(x), naive128(x), "x = {x:#x}");
+        }
+    }
+
+    #[test]
+    fn reduce128_canonicalizes_results_in_p_to_2_pow_64() {
+        // hi = 0 leaves t2 = lo, so every lo in [p, 2^64) reaches the
+        // final subtraction unreduced; so does a folded value landing
+        // there (hi = 1: t2 = lo + ε).
+        let cases = [
+            wide(0, P),
+            wide(0, P + 1),
+            wide(0, u64::MAX),
+            wide(0, P + EPSILON / 2),
+            wide(1, P - EPSILON),
+            wide(1, u64::MAX - EPSILON),
+        ];
+        for &x in &cases {
+            let r = reduce128(x);
+            assert!(r < P, "x = {x:#x} left {r:#x} non-canonical");
+            assert_eq!(r, naive128(x), "x = {x:#x}");
         }
     }
 

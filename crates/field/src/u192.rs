@@ -104,9 +104,8 @@ impl U192 {
     pub fn rotl(self, s: u32) -> U192 {
         let s = s % 192;
         // Whole-limb rotation first, then a sub-limb shift. This form is
-        // branch-lean (one three-way match plus one `k == 0` test), which
-        // matters: the transform kernels execute one rotation per butterfly
-        // term, making this the single hottest operation in the workspace.
+        // branch-lean (one three-way match plus one `k == 0` test); the
+        // shift-only FFT-64 models execute one rotation per butterfly term.
         let [a, b, c] = self.limbs;
         let [a, b, c] = match s / 64 {
             0 => [a, b, c],

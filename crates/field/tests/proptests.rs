@@ -8,6 +8,47 @@ fn arb_fp() -> impl Strategy<Value = Fp> {
     any::<u64>().prop_map(Fp::new)
 }
 
+/// A 32-bit word on one of the reduction's fix-up boundaries half the
+/// time, uniform otherwise.
+fn arb_edge_u32() -> impl Strategy<Value = u64> {
+    (0u8..8, any::<u32>()).prop_map(|(pick, w)| match pick {
+        0 => 0,
+        1 => 1,
+        2 => 0xffff_fffe,
+        3 => 0xffff_ffff,
+        _ => u64::from(w),
+    })
+}
+
+/// 128-bit words assembled from edge 32-bit words, so borrows, carries and
+/// results in `[p, 2^64)` come up far more often than under `any::<u128>()`.
+fn arb_edge_u128() -> impl Strategy<Value = u128> {
+    (
+        arb_edge_u32(),
+        arb_edge_u32(),
+        arb_edge_u32(),
+        arb_edge_u32(),
+    )
+        .prop_map(|(a, b, c, d)| {
+            (a as u128) << 96 | (b as u128) << 64 | (c as u128) << 32 | d as u128
+        })
+}
+
+/// Field elements near 0, near `p` and near the 32-bit word boundaries
+/// most of the time, uniform otherwise.
+fn arb_edge_fp() -> impl Strategy<Value = Fp> {
+    (0u8..6, 0u64..4, any::<u64>()).prop_map(|(pick, k, v)| {
+        Fp::new(match pick {
+            0 => k,
+            1 => P - 1 - k,
+            2 => u64::from(u32::MAX) - k,
+            3 => (1 << 32) + k,
+            4 => 0xffff_ffff_0000_0000 - k,
+            _ => v,
+        })
+    })
+}
+
 fn arb_u192() -> impl Strategy<Value = U192> {
     any::<[u64; 3]>().prop_map(U192::from_limbs)
 }
@@ -52,6 +93,25 @@ proptest! {
     #[test]
     fn reduce128_matches_naive(x in any::<u128>()) {
         prop_assert_eq!(reduce::reduce128(x), (x % P as u128) as u64);
+    }
+
+    #[test]
+    fn reduce128_matches_the_eq4_hardware_model(x in any::<u128>()) {
+        // The word-level Normalize/AddMod model is an independent oracle
+        // for the 64-bit-word software reduction.
+        let (coarse, _) = reduce::normalize_eq4(x);
+        prop_assert_eq!(reduce::reduce128(x), reduce::addmod_final(coarse));
+    }
+
+    #[test]
+    fn reduce128_matches_naive_on_edge_words(x in arb_edge_u128()) {
+        prop_assert_eq!(reduce::reduce128(x), (x % P as u128) as u64);
+    }
+
+    #[test]
+    fn mul_matches_u128_naive_on_edge_operands(a in arb_edge_fp(), b in arb_edge_fp()) {
+        let expected = ((a.as_u64() as u128 * b.as_u64() as u128) % P as u128) as u64;
+        prop_assert_eq!((a * b).as_u64(), expected);
     }
 
     #[test]

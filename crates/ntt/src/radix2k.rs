@@ -19,11 +19,16 @@
 //!   `table[mid·M + l]` so the kernel streams them in the same contiguous
 //!   runs as the data rows;
 //! * **micro twiddles** — the intra-group layer constants
-//!   `ω_{2^{s+1}}^{j}`, which are **always** powers of two (any root of
-//!   order dividing `ord(2) = 192` lies in the subgroup generated by 2),
-//!   so the whole in-register network runs on the shift-only multiplier
-//!   [`Fp::mul_by_pow2`] — the same observation behind the paper's
-//!   shift-only FFT-64 unit ([`crate::kernels`]).
+//!   `ω_{2^{s+1}}^{j}`, stored as field elements and applied with one
+//!   field multiply each. They are always powers of two (any root of
+//!   order dividing `ord(2) = 192` lies in the subgroup generated by 2) —
+//!   the observation behind the paper's shift-only FFT-64 unit
+//!   ([`crate::kernels`]), where a power-of-two twiddle is free wiring.
+//!   On a CPU it is not: a variable shift of a 64-bit residue spills into
+//!   a 160-bit value and a branchy fold, while a 64×64 multiply is one
+//!   instruction followed by the branch-free [`he_field::reduce::reduce128`].
+//!   The kernels therefore multiply, and only the `ω^0` butterfly, whose
+//!   twiddle is 1, skips the multiply.
 //!
 //! [`Radix2kPlan`] owns both families (computed once, shared by every
 //! transform — never per scratch), picks a balanced `deg` schedule for
@@ -41,35 +46,30 @@ use crate::par;
 pub const MAX_DEG: u32 = 6;
 
 /// One butterfly layer's intra-group twiddles `ω_{2^{s+1}}^j`, `j < 2^s`,
-/// stored as shift amounts for [`Fp::mul_by_pow2`].
+/// as field elements.
 ///
-/// The shift representation is always possible, for **any** plan root:
-/// the layer root has order `2^{s+1} ≤ 2^MAX_DEG = 64`, every order
-/// dividing `ord(2) = 192` names the unique subgroup of `⟨2⟩` of that
-/// size, and so every such root is a power of two. The in-register
-/// network therefore runs entirely on the shift-only multiplier — the
-/// software twin of the paper's shift-only FFT-64 unit (Eq. 3).
+/// Every one of them is a power of two, for **any** plan root: the layer
+/// root has order `2^{s+1} ≤ 2^MAX_DEG = 64`, every order dividing
+/// `ord(2) = 192` names the unique subgroup of `⟨2⟩` of that size — the
+/// paper's shift-only twiddles (Eq. 3). The kernels still apply them as
+/// plain field multiplies: a shift is free wiring on the FPGA, but on a
+/// CPU one 64×64 multiply beats the branchy shift-and-fold.
 #[derive(Debug, Clone)]
 struct MicroLayer {
-    /// `twiddle(j) = 2^{shifts[j]}`.
-    shifts: Vec<u32>,
+    /// `twiddles[j] = ω_{2^{s+1}}^j`; `twiddles[0] = 1` is never read.
+    twiddles: Vec<Fp>,
 }
 
 impl MicroLayer {
     /// Builds layer `s` (in-group layer index) for root `base = ω_{2^{s+1}}`.
     fn build(base: Fp, s: u32) -> MicroLayer {
-        let e = base
-            .log2_of_pow2()
-            .expect("roots of order dividing 192 are powers of two");
         MicroLayer {
-            shifts: (0..1u64 << s)
-                .map(|j| ((u64::from(e) * j) % 192) as u32)
-                .collect(),
+            twiddles: roots::power_table(base, 1 << s),
         }
     }
 
     fn table_bytes(&self) -> usize {
-        std::mem::size_of_val(self.shifts.as_slice())
+        std::mem::size_of_val(self.twiddles.as_slice())
     }
 }
 
@@ -133,6 +133,14 @@ pub fn bit_reverse_permute(data: &mut [Fp]) {
 /// is a fixed-size unrollable inner loop.
 const LANES: usize = 16;
 
+/// One radix-2 butterfly on the already-twiddled bottom term `t`.
+#[inline(always)]
+fn butterfly(a: &mut Fp, b: &mut Fp, t: Fp) {
+    let u = *a;
+    *a = u + t;
+    *b = u - t;
+}
+
 /// The in-register butterfly network over one orbit: `deg` radix-2
 /// layers on a `2^deg`-point working set, twiddled by the micro layers.
 #[inline]
@@ -141,13 +149,17 @@ fn micro_network(buf: &mut [Fp], deg: u32, micro: &[MicroLayer]) {
         let half = 1usize << s;
         for group in buf.chunks_exact_mut(half << 1) {
             let (top, bot) = group.split_at_mut(half);
-            for ((a, b), &sh) in top.iter_mut().zip(bot).zip(&layer.shifts) {
-                // sh == 0 is the ω^0 butterfly — every pair of layer 0 and
-                // the leading pair of every later group; skip the multiply.
-                let t = if sh == 0 { *b } else { b.mul_by_pow2(sh) };
-                let u = *a;
-                *a = u + t;
-                *b = u - t;
+            // Pair 0 is the ω^0 butterfly — every pair of layer 0 and the
+            // leading pair of every later group; it skips the multiply.
+            let t = bot[0];
+            butterfly(&mut top[0], &mut bot[0], t);
+            for ((a, b), &w) in top[1..]
+                .iter_mut()
+                .zip(&mut bot[1..])
+                .zip(&layer.twiddles[1..])
+            {
+                let t = *b * w;
+                butterfly(a, b, t);
             }
         }
     }
@@ -161,21 +173,19 @@ fn micro_network_tiled(tile: &mut [[Fp; LANES]], deg: u32, micro: &[MicroLayer])
         let half = 1usize << s;
         for group in tile.chunks_exact_mut(half << 1) {
             let (top, bot) = group.split_at_mut(half);
-            for ((a, b), &sh) in top.iter_mut().zip(bot).zip(&layer.shifts) {
-                if sh == 0 {
-                    for (x, y) in a.iter_mut().zip(b.iter_mut()) {
-                        let t = *y;
-                        let u = *x;
-                        *x = u + t;
-                        *y = u - t;
-                    }
-                } else {
-                    for (x, y) in a.iter_mut().zip(b.iter_mut()) {
-                        let t = y.mul_by_pow2(sh);
-                        let u = *x;
-                        *x = u + t;
-                        *y = u - t;
-                    }
+            // Row pair 0 is the ω^0 butterfly: no multiply.
+            for (x, y) in top[0].iter_mut().zip(bot[0].iter_mut()) {
+                let t = *y;
+                butterfly(x, y, t);
+            }
+            for ((a, b), &w) in top[1..]
+                .iter_mut()
+                .zip(&mut bot[1..])
+                .zip(&layer.twiddles[1..])
+            {
+                for (x, y) in a.iter_mut().zip(b.iter_mut()) {
+                    let t = *y * w;
+                    butterfly(x, y, t);
                 }
             }
         }
@@ -193,15 +203,15 @@ fn micro_network_tiled(tile: &mut [[Fp; LANES]], deg: u32, micro: &[MicroLayer])
 /// smaller `M` — in practice only the first pass, `M = 1`, whose orbit
 /// is itself contiguous — takes the scalar path.
 ///
-/// `scale_shift` folds the inverse `1/n = 2^{192−log n}` scaling into the
-/// final store of the last inverse pass, saving a separate pass.
+/// `scale` folds the inverse `1/n` scaling into the final store of the
+/// last inverse pass, saving a separate pass.
 fn stage_pass(
     data: &mut [Fp],
     log_m: u32,
     deg: u32,
     table: Option<&[Fp]>,
     micro: &[MicroLayer],
-    scale_shift: Option<u32>,
+    scale: Option<Fp>,
 ) {
     let m = 1usize << log_m;
     let r = 1usize << deg;
@@ -209,10 +219,10 @@ fn stage_pass(
     if m == 1 && data.len() >= block * LANES {
         // First pass: orbits are the (contiguous, twiddle-free) blocks
         // themselves. Tile LANES *blocks* through the working set via a
-        // transposed load so each butterfly's shift dispatch is amortized
+        // transposed load so each butterfly's twiddle load is amortized
         // over LANES lanes, like the later passes.
         par::for_each_chunk(data, block * LANES, |_h, chunk| {
-            stage_block0_tiled(chunk, r, deg, micro, scale_shift);
+            stage_block0_tiled(chunk, r, deg, micro, scale);
         });
         return;
     }
@@ -221,15 +231,15 @@ fn stage_pass(
             // Tiny transform (fewer than LANES blocks): run the network
             // directly where the data lives.
             micro_network(chunk, deg, micro);
-            if let Some(sh) = scale_shift {
+            if let Some(c) = scale {
                 for x in chunk.iter_mut() {
-                    *x = x.mul_by_pow2(sh);
+                    *x *= c;
                 }
             }
         } else if m >= LANES {
-            stage_block_tiled(chunk, m, r, deg, table, micro, scale_shift);
+            stage_block_tiled(chunk, m, r, deg, table, micro, scale);
         } else {
-            stage_block_scalar(chunk, m, r, deg, table, micro, scale_shift);
+            stage_block_scalar(chunk, m, r, deg, table, micro, scale);
         }
     });
 }
@@ -243,7 +253,7 @@ fn stage_block0_tiled(
     r: usize,
     deg: u32,
     micro: &[MicroLayer],
-    scale_shift: Option<u32>,
+    scale: Option<Fp>,
 ) {
     let mut tile = [[Fp::ZERO; LANES]; 1 << MAX_DEG as usize];
     let tile = &mut tile[..r];
@@ -253,11 +263,11 @@ fn stage_block0_tiled(
         }
     }
     micro_network_tiled(tile, deg, micro);
-    match scale_shift {
-        Some(sh) => {
+    match scale {
+        Some(c) => {
             for (lane, block) in chunk.chunks_exact_mut(r).enumerate() {
                 for (row, dst) in tile.iter().zip(block) {
-                    *dst = row[lane].mul_by_pow2(sh);
+                    *dst = row[lane] * c;
                 }
             }
         }
@@ -279,7 +289,7 @@ fn stage_block_scalar(
     deg: u32,
     table: Option<&[Fp]>,
     micro: &[MicroLayer],
-    scale_shift: Option<u32>,
+    scale: Option<Fp>,
 ) {
     let mut buf = [Fp::ZERO; 1 << MAX_DEG as usize];
     for l in 0..m {
@@ -301,10 +311,10 @@ fn stage_block_scalar(
             }
         }
         micro_network(buf, deg, micro);
-        match scale_shift {
-            Some(sh) => {
+        match scale {
+            Some(c) => {
                 for (&v, row) in buf.iter().zip(chunk.chunks_exact_mut(m)) {
-                    row[l] = v.mul_by_pow2(sh);
+                    row[l] = v * c;
                 }
             }
             None => {
@@ -325,7 +335,7 @@ fn stage_block_tiled(
     deg: u32,
     table: Option<&[Fp]>,
     micro: &[MicroLayer],
-    scale_shift: Option<u32>,
+    scale: Option<Fp>,
 ) {
     let mut tile = [[Fp::ZERO; LANES]; 1 << MAX_DEG as usize];
     for strip in 0..m / LANES {
@@ -352,11 +362,11 @@ fn stage_block_tiled(
             }
         }
         micro_network_tiled(tile, deg, micro);
-        match scale_shift {
-            Some(sh) => {
+        match scale {
+            Some(c) => {
                 for (lanes, row) in tile.iter().zip(chunk.chunks_exact_mut(m)) {
                     for (dst, &v) in row[l0..].iter_mut().zip(lanes) {
-                        *dst = v.mul_by_pow2(sh);
+                        *dst = v * c;
                     }
                 }
             }
@@ -640,8 +650,9 @@ impl Radix2kPlan {
         Ok(())
     }
 
-    /// In-place inverse transform including the `1/n` scaling (a shift,
-    /// `1/2^k = 2^{192−k}`, folded into the last pass's writeback).
+    /// In-place inverse transform including the `1/n` scaling (one
+    /// multiply by `1/2^k = 2^{192−k}`, folded into the last pass's
+    /// writeback).
     ///
     /// # Errors
     ///
@@ -652,7 +663,7 @@ impl Radix2kPlan {
         let last = self.passes.len() - 1;
         for (i, pass) in self.passes.iter().enumerate() {
             let table = (!pass.inv.is_empty()).then_some(pass.inv.as_slice());
-            let scale = (i == last).then_some(192 - self.log_n);
+            let scale = (i == last).then_some(Fp::ONE.mul_by_pow2(192 - self.log_n));
             stage_pass(data, pass.log_m, pass.deg, table, &self.micro_inv, scale);
         }
         Ok(())
@@ -761,9 +772,9 @@ mod tests {
     #[test]
     fn non_canonical_root_matches_naive_dft() {
         // ω³ (odd power) is primitive but not the canonical root; the
-        // micro layers are still shift-only (their roots have order ≤ 64,
-        // which divides ord(2) = 192) and results match the naive DFT on
-        // exactly that root.
+        // micro layers still hold powers of two (their roots have order
+        // ≤ 64, which divides ord(2) = 192) and results match the naive
+        // DFT on exactly that root.
         let n = 64usize;
         let omega = roots::root_of_unity(n as u64).unwrap().pow(3);
         let plan = Radix2kPlan::with_omega(n, omega).unwrap();
@@ -773,14 +784,23 @@ mod tests {
     }
 
     #[test]
-    fn micro_layer_shifts_name_the_layer_root_powers() {
-        // shifts[j] must satisfy 2^{shifts[j]} = ω_{2^{s+1}}^j for the
-        // plan's own root chain.
+    fn micro_layer_twiddles_are_the_layer_root_powers() {
+        // twiddles[j] must equal ω_{2^{s+1}}^j for the plan's own root
+        // chain, in both directions, and each is a power of two (the
+        // paper's shift-only twiddles).
         let plan = Radix2kPlan::new(65_536).unwrap();
-        for (s, layer) in plan.micro_fwd.iter().enumerate() {
-            let base = plan.omega().pow((plan.len() >> (s + 1)) as u64);
-            for (j, &sh) in layer.shifts.iter().enumerate() {
-                assert_eq!(Fp::ONE.mul_by_pow2(sh), base.pow(j as u64), "s={s} j={j}");
+        let omega_inv = plan.omega().inverse().unwrap();
+        for (root, micro) in [
+            (plan.omega(), &plan.micro_fwd),
+            (omega_inv, &plan.micro_inv),
+        ] {
+            for (s, layer) in micro.iter().enumerate() {
+                let base = root.pow((plan.len() >> (s + 1)) as u64);
+                assert_eq!(layer.twiddles.len(), 1 << s);
+                for (j, &w) in layer.twiddles.iter().enumerate() {
+                    assert_eq!(w, base.pow(j as u64), "s={s} j={j}");
+                    assert!(w.log2_of_pow2().is_some(), "s={s} j={j}");
+                }
             }
         }
     }
